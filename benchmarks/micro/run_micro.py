@@ -428,15 +428,18 @@ def bench_pool_predict(repeats: int) -> Dict:
 
 
 def bench_pool_predict_large(repeats: int) -> Dict:
-    """Large-batch serving data plane: shm transport (fast) versus the pickle
-    reference, one worker, one client — isolating what the transport itself
-    costs.  For each batch size the harness records p50/p99 end-to-end
-    latency and the bytes that actually crossed the parent<->worker process
-    boundary (measured by the ``repro_serve_transport_bytes_total`` counters:
-    tensor payloads on the pickle path, queue descriptors on the shm path).
-    The headline ``speedup`` is pickle-p50 over shm-p50 at batch 4096;
-    ``bytes_ratio_4096`` is the corresponding bytes reduction, which is
-    deterministic (no timing involved) and guarded by the tier-1 suite.
+    """Large-batch serving data plane: the shared-memory pool (fast) versus
+    in-process ``EnsemblePredictor`` (reference), one worker, one client —
+    isolating what crossing the process boundary costs.  For each batch size
+    the harness records p50/p99 end-to-end latency of both, and for the pool
+    the bytes that actually crossed its queues (the
+    ``repro_serve_transport_bytes_total`` counters: descriptors only, both
+    directions) next to the tensor bytes the request moved through shared
+    memory (rows in plus probabilities out).  The headline ``speedup`` is
+    in-process p50 over pool p50 at batch 4096 (below 1x: the pool's IPC
+    overhead for a lone client); ``bytes_ratio_4096`` is tensor bytes over
+    descriptor bytes at batch 4096, which is deterministic (no timing
+    involved) and guarded by the tier-1 suite.
     """
     batch_sizes = [256, 1024, 4096]
     params = {
@@ -448,7 +451,7 @@ def bench_pool_predict_large(repeats: int) -> Dict:
         "arena_slots": 4,
         "cpu_count": cpu_count(),
     }
-    from repro.api import run_experiment, save_ensemble_run
+    from repro.api import EnsemblePredictor, run_experiment, save_ensemble_run
     from repro.obs.metrics import get_registry
     from repro.parallel import PoolPredictor
 
@@ -483,63 +486,68 @@ def bench_pool_predict_large(repeats: int) -> Dict:
 
     registry = get_registry()
 
-    def transport_bytes(transport: str) -> float:
+    def descriptor_bytes() -> float:
         metric = registry.get("repro_serve_transport_bytes_total")
         if metric is None:
             return 0.0
-        return (
-            metric.labels(transport, "request").value
-            + metric.labels(transport, "response").value
-        )
+        return metric.labels("shm", "request").value + metric.labels("shm", "response").value
 
     iterations = max(repeats, 10)  # p99 needs more than a handful of samples
-    transports: Dict[str, Dict] = {}
+
+    def latency(predict, x) -> Dict[str, float]:
+        samples: List[float] = []
+        for _ in range(iterations):
+            start = time.perf_counter()
+            predict(x)
+            samples.append(time.perf_counter() - start)
+        return {
+            "p50_seconds": float(np.percentile(samples, 50)),
+            "p99_seconds": float(np.percentile(samples, 99)),
+        }
+
+    reference = EnsemblePredictor.load(artifact)
+    in_process: Dict[str, Dict] = {}
+    pool_stats: Dict[str, Dict] = {}
     try:
-        for transport in ("pickle", "shm"):
-            per_batch: Dict[str, Dict] = {}
-            pool = PoolPredictor(
-                artifact,
-                workers=1,
-                transport=transport,
-                max_batch=max(batch_sizes),
-                arena_slots=params["arena_slots"],
-                max_wait_ms=0.0,
-            )
-            try:
-                for batch in batch_sizes:
-                    x = x_full[:batch]
-                    pool.predict_proba(x)  # warm-up (arena pages, worker caches)
-                    samples: List[float] = []
-                    bytes_before = transport_bytes(transport)
-                    for _ in range(iterations):
-                        start = time.perf_counter()
-                        pool.predict_proba(x)
-                        samples.append(time.perf_counter() - start)
-                    moved = transport_bytes(transport) - bytes_before
-                    per_batch[str(batch)] = {
-                        "p50_seconds": float(np.percentile(samples, 50)),
-                        "p99_seconds": float(np.percentile(samples, 99)),
-                        "bytes_per_request": moved / iterations,
-                    }
-            finally:
-                pool.close()
-            transports[transport] = per_batch
+        pool = PoolPredictor(
+            artifact,
+            workers=1,
+            max_batch=max(batch_sizes),
+            arena_slots=params["arena_slots"],
+            max_wait_ms=0.0,
+        )
+        try:
+            for batch in batch_sizes:
+                x = x_full[:batch]
+                # Warm-up (arena pages, worker and in-process caches).
+                tensor_bytes = x.nbytes + pool.predict_proba(x).nbytes
+                reference.predict_proba(x)
+                in_process[str(batch)] = latency(reference.predict_proba, x)
+                bytes_before = descriptor_bytes()
+                stats = latency(pool.predict_proba, x)
+                stats["bytes_per_request"] = (
+                    descriptor_bytes() - bytes_before
+                ) / iterations
+                stats["tensor_bytes_per_request"] = tensor_bytes
+                pool_stats[str(batch)] = stats
+        finally:
+            pool.close()
     finally:
         shutil.rmtree(artifact_root, ignore_errors=True)
 
     large = str(max(batch_sizes))
-    entry = {
+    return {
         "params": params,
         "iterations": iterations,
-        "transports": transports,
-        "reference_seconds": transports["pickle"][large]["p50_seconds"],
-        "fast_seconds": transports["shm"][large]["p50_seconds"],
+        "pool": pool_stats,
+        "in_process": in_process,
+        "reference_seconds": in_process[large]["p50_seconds"],
+        "fast_seconds": pool_stats[large]["p50_seconds"],
         "bytes_ratio_4096": (
-            transports["pickle"][large]["bytes_per_request"]
-            / transports["shm"][large]["bytes_per_request"]
+            pool_stats[large]["tensor_bytes_per_request"]
+            / pool_stats[large]["bytes_per_request"]
         ),
     }
-    return entry
 
 
 def bench_hot_swap(repeats: int) -> Dict:

@@ -1,9 +1,9 @@
 """Ablation — the value of hatching (warm starting from the MotherNet).
 
-DESIGN.md calls out hatching as the design choice that makes the member phase
-cheap: a hatched member starts from the MotherNet's learnt function, so the
-shared convergence criterion stops it after a handful of epochs, whereas the
-same architecture trained from scratch needs the full budget.  This bench
+Hatching is the design choice that makes the member phase cheap: a hatched
+member starts from the MotherNet's learnt function, so the shared
+convergence criterion stops it after a handful of epochs, whereas the same
+architecture trained from scratch needs the full budget.  This bench
 trains the same member architecture (i) hatched from a trained MotherNet and
 (ii) from random initialisation, on the same bagged sample, and compares
 starting error, epochs to convergence, and final error.

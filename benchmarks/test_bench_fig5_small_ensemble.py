@@ -51,7 +51,7 @@ def test_bench_fig5_small_ensemble(benchmark, paper_expectations):
     report.append(expectation_note(paper_expectations["fig5"]))
     write_report("fig5_small_ensemble", "\n".join(report))
 
-    # Shape assertions (scaled-down substrate; see DESIGN.md §4).
+    # Shape assertions (the scaled-down substrate cannot match paper numbers).
     totals = scenario["totals"]
     assert totals["mothernets"] < totals["full_data"], "MotherNets must train faster than full-data"
     assert totals["mothernets"] < totals["bagging"], "MotherNets must train faster than bagging"

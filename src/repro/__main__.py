@@ -126,10 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--transport",
-        choices=("shm", "pickle"),
+        choices=("shm",),
         default="shm",
-        help="request/response data plane: shared-memory arenas (default) or "
-        "the pickle-through-queues reference path",
+        help="request/response data plane; shared-memory arenas are the only "
+        "one (the flag is accepted for existing scripts)",
     )
     serve.add_argument(
         "--log-format",
@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument(
         "--transport",
-        choices=("shm", "pickle"),
+        choices=("shm",),
         default="shm",
         help="pool data plane (see `repro serve --transport`)",
     )
@@ -433,7 +433,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         restart_workers=not args.no_restart,
-        transport=args.transport,
         log_format=args.log_format,
         log_file=args.log_file,
         mode=args.mode,
@@ -481,7 +480,6 @@ def _cmd_fleet_worker(args: argparse.Namespace) -> int:
         method=args.method,
         batch_size=args.batch_size,
         max_batch=args.max_batch,
-        transport=args.transport,
         metrics_interval=args.metrics_interval,
     ).start()
 

@@ -12,8 +12,8 @@ Provides the exact architectures used in the paper's evaluation:
 
 Every factory accepts a ``width_scale`` so the same structures can be built
 at paper scale (for parameter-count / clustering experiments, Table 1) or
-scaled down (for the training benchmarks that must run on a CPU-only numpy
-substrate — see DESIGN.md §4).
+scaled down (for the training benchmarks, which must run on a CPU-only numpy
+substrate).
 """
 
 from __future__ import annotations
@@ -186,8 +186,8 @@ def v16_variant_family(
 # --------------------------------------------------------------------------
 
 # Units per block for the standard ResNet depths.  The paper uses the
-# bottleneck design for ResNet-50/101/152; this substrate uses two-convolution
-# basic units throughout (see DESIGN.md §4) while keeping the published unit
+# bottleneck design for ResNet-50/101/152; this CPU-only numpy substrate uses
+# two-convolution basic units throughout while keeping the published unit
 # counts, so relative sizes and the clustering structure are preserved.
 _RESNET_UNITS: dict = {
     18: [2, 2, 2, 2],

@@ -16,8 +16,6 @@ the paper's analysis relies on:
   learner already achieves low error and ensembling helps least (§3,
   discussion of Figure 8);
 * **determinism** — everything is derived from an explicit seed.
-
-See DESIGN.md §4 for the substitution rationale.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ attaches to the broker (in-process object or a
 :func:`~repro.fleet.broker.connect_broker` proxy — the loop cannot tell the
 difference), leases jobs from its assigned partitions, answers them through
 the *existing* multi-process :class:`~repro.parallel.serving.PoolPredictor`
-(shm transport, micro-batching, and the self-healing supervisor all reused
-unchanged), and acks each result back.  Results are therefore **bitwise
+(shared-memory data plane, micro-batching, and the self-healing supervisor
+all reused unchanged), and acks each result back.  Results are therefore **bitwise
 identical** to a single-process ``EnsemblePredictor`` on the same rows — the
 queue tier adds scheduling, never arithmetic.
 
@@ -78,7 +78,6 @@ class FleetConsumer:
         batch_size: int = 256,
         max_batch: int = 1024,
         max_wait_ms: float = 2.0,
-        transport: str = "shm",
         lease_timeout: float = 0.5,
         metrics_interval: float = 1.0,
         restart_workers: bool = True,
@@ -94,7 +93,6 @@ class FleetConsumer:
             batch_size=batch_size,
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
-            transport=transport,
             restart_workers=restart_workers,
         )
         self._stop = threading.Event()
@@ -196,7 +194,7 @@ class FleetConsumer:
         try:
             payload = job.payload
             proba = self.pool.predict_proba(payload["x"], method=payload.get("method"))
-            # A shm-transport result is a zero-copy view of a pool worker's
+            # A pool result may be a zero-copy view of a pool worker's
             # arena; materialise it so the ack (which may pickle it over the
             # manager connection) releases the arena region promptly.
             proba = np.array(proba, copy=True)

@@ -17,11 +17,11 @@ Two halves share the same ``spawn``-safe multiprocessing substrate:
   respawned under bounded backoff; each worker owns private crash-isolated
   queues).  Exposed over HTTP by ``python -m repro serve``
   (:func:`repro.parallel.server.run_server`), including Prometheus
-  ``GET /metrics`` and a degrading ``GET /healthz``.  The request/response
-  data plane is pluggable: ``transport="shm"`` (default) moves tensors
-  through per-worker shared-memory arenas (:class:`ShmArena`) so the queues
-  carry only fixed-size descriptors; ``transport="pickle"`` is the reference
-  tensors-through-the-queues path.
+  ``GET /metrics`` and a degrading ``GET /healthz``.  There is one
+  request/response data plane: tensors move through per-worker
+  shared-memory arenas (:class:`ShmArena`), or a one-off segment for a
+  dispatch the arena cannot hold, so the queues carry only fixed-size
+  descriptors.
 """
 
 from repro.parallel.executor import ParallelExecutor, train_members

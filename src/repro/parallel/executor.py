@@ -52,11 +52,9 @@ Key properties
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue as thread_queue
 import time
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _mp_wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,7 +62,12 @@ import numpy as np
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
 from repro.parallel.shared_data import SharedDataset
-from repro.parallel.worker import MemberOutcome, MemberTask, _worker_main
+from repro.parallel.worker import (
+    MemberOutcome,
+    MemberTask,
+    _poll_results,
+    _worker_main,
+)
 from repro.utils.logging import get_logger
 from repro.utils.parallel import blas_thread_limit, cpu_count
 
@@ -242,33 +245,6 @@ class ParallelExecutor:
                 self._spawn_worker(worker_id)
             self._started = True
 
-    def _poll_results(self, timeout: float) -> List[tuple]:
-        """Drain whatever messages the per-worker result queues hold.
-
-        Multiplexes over every queue's reader pipe with
-        ``multiprocessing.connection.wait``; returns a (possibly empty) list
-        of ``(kind, worker_id, payload)`` messages.  Queues swapped out by a
-        concurrent respawn surface as closed readers and are skipped.
-        """
-        snapshot = {
-            queue._reader: queue for queue in self._result_queues if queue is not None
-        }
-        try:
-            readable = _mp_wait(list(snapshot), timeout=timeout)
-        except OSError:  # pragma: no cover - reader closed mid-wait (respawn)
-            return []
-        messages: List[tuple] = []
-        for reader in readable:
-            queue = snapshot[reader]
-            while True:
-                try:
-                    messages.append(queue.get_nowait())
-                except thread_queue.Empty:
-                    break
-                except (OSError, ValueError, EOFError):  # pragma: no cover
-                    break  # queue closed/poisoned; successor takes over
-        return messages
-
     # ------------------------------------------------------------ lifecycle
     def _evict_worker(self, worker_id: int, reason: str, member: Optional[str]) -> None:
         """Take a dead or wedged worker out of rotation and schedule respawn."""
@@ -404,7 +380,9 @@ class ParallelExecutor:
                     )
 
                 # 2. Collect messages (results, errors, heartbeats).
-                for kind, worker_id, payload in self._poll_results(self.poll_interval):
+                for kind, worker_id, payload in _poll_results(
+                    self._result_queues, self.poll_interval
+                ):
                     self._last_beat[worker_id] = time.monotonic()
                     if kind == "heartbeat":
                         continue

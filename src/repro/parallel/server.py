@@ -229,7 +229,6 @@ def run_server(
     max_batch: int = 1024,
     max_wait_ms: float = 2.0,
     restart_workers: bool = True,
-    transport: str = "shm",
     log_format: str = "json",
     log_file: Optional[Union[str, Path]] = None,
     ready_event: Optional[threading.Event] = None,
@@ -287,7 +286,6 @@ def run_server(
             consumer_workers=workers if consumer_workers is None else consumer_workers,
             batch_size=batch_size,
             max_batch=max_batch,
-            transport=transport,
             spawn_local=spawn_consumers,
             autoscale=autoscale,
             autoscale_cooldown=autoscale_cooldown,
@@ -317,7 +315,6 @@ def run_server(
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
             restart_workers=restart_workers,
-            transport=transport,
         )
     try:
         server = ThreadingHTTPServer(
@@ -349,7 +346,7 @@ def run_server(
         "port": bound_port,
         "workers": workers,
         "method": method,
-        "transport": transport,
+        "transport": "shm",
         "artifact": str(artifact),
     }
     if mode == "queue":
@@ -365,7 +362,6 @@ def run_server(
         workers=workers,
         artifact=str(artifact),
         restart_workers=restart_workers,
-        transport=transport,
     )
     if ready_event is not None:
         ready_event.set()

@@ -9,7 +9,7 @@ any number of application threads can call :meth:`predict` /
 :meth:`predict_proba` concurrently; each call blocks only on its own future.
 
 Micro-batching semantics: coalescing groups *requests* into one IPC dispatch
-(amortising queue/pickle overhead); inside the worker each request still runs
+(amortising queue overhead); inside the worker each request still runs
 through ``EnsemblePredictor.predict_proba`` with its own rows and the
 configured ``batch_size``, so every answer is **bitwise identical** to what a
 single-process ``EnsemblePredictor`` would return for the same call.
@@ -35,17 +35,22 @@ replaces both with fresh ones at respawn; with a lock shared across workers
 The collector multiplexes the per-worker result queues through
 ``multiprocessing.connection.wait``.
 
-Transports: with ``transport="shm"`` (the default) each worker additionally
+Data plane: tensors never travel through the queues.  Each worker also
 owns a shared-memory arena (:class:`~repro.parallel.shm_transport.ShmArena`)
 and the queues carry only fixed-size descriptors — request rows are written
 once into the worker's arena and probabilities come back as zero-copy views
-of worker-written result regions.  ``transport="pickle"`` keeps the original
-tensors-through-the-queue path as the bitwise reference; the shm dispatcher
-also falls back to it per dispatch whenever a request does not fit the arena.
-A dead worker's arena is retired wholesale (name unlinked immediately, the
-mapping closed once the last client-held result view is garbage collected)
-and the respawned worker gets a fresh generation, so a SIGKILL mid-slot-write
-can never wedge the dispatcher or leak ``/dev/shm`` segments.
+of worker-written result regions.  A dispatch the arena cannot hold (ring
+momentarily full, result regions pinned by client-held views, or a request
+larger than the whole arena) is carried in a *one-off* segment created for
+it and sized for its rows plus results: same descriptor, plus the segment's
+name; the worker attaches it, answers and detaches, and the collector copies
+the results out and unlinks it.  Requests are never split, so every answer
+stays one ``predict_proba`` call.  A dead worker's arena is retired
+wholesale (name unlinked immediately, the mapping closed once the last
+client-held result view is garbage collected), its one-off segments are
+unlinked, and the respawned worker gets a fresh arena generation, so a
+SIGKILL mid-slot-write can never wedge the dispatcher or leak ``/dev/shm``
+segments.
 """
 
 from __future__ import annotations
@@ -60,11 +65,11 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from math import prod
+from multiprocessing.shared_memory import SharedMemory
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 import multiprocessing as mp
-from multiprocessing.connection import wait as _mp_wait
 
 import numpy as np
 
@@ -75,11 +80,16 @@ from repro.core.artifact_store import (
 from repro.core.ensemble import resolve_combination_method
 from repro.obs.events import log_event
 from repro.obs.metrics import get_registry
-from repro.parallel.shm_transport import RESULT_ITEMSIZE, ShmArena, _align
-from repro.parallel.worker import _serving_worker_main
+from repro.parallel.shared_data import create_segment
+from repro.parallel.shm_transport import (
+    RESULT_ITEMSIZE,
+    ShmArena,
+    _align,
+    array_at,
+    write_array,
+)
+from repro.parallel.worker import _poll_results, _serving_worker_main
 from repro.utils.logging import get_logger
-
-TRANSPORTS = ("shm", "pickle")
 
 logger = get_logger("parallel.serving")
 
@@ -128,20 +138,20 @@ _WORKER_HANGS = _metrics.counter(
 )
 _TRANSPORT_BYTES = _metrics.counter(
     "repro_serve_transport_bytes_total",
-    "Bytes crossing the parent<->worker process boundary, by transport and "
-    "direction (shm counts only the queue descriptors; pickle counts the "
-    "tensor payloads).",
+    "Bytes crossing the parent<->worker process boundary through the queues, "
+    "by direction (the descriptors only; tensors stay in shared memory).",
     ("transport", "direction"),
 )
 _TRANSPORT_FALLBACKS = _metrics.counter(
     "repro_serve_transport_fallbacks_total",
-    "Dispatches the shm transport handed to the pickle path instead.",
+    "Dispatches carried in a one-off shared-memory segment because the "
+    "worker's arena could not hold them.",
     ("reason",),
 )
 _TRANSPORT_PHASE = _metrics.histogram(
     "repro_serve_transport_phase_seconds",
-    "Per-dispatch transport phases: copying rows into the arena (shm) or "
-    "building the tensor payload (pickle).",
+    "Per-dispatch data-plane phases: copying rows into shared memory, taking "
+    "arena result views, copying one-off results out.",
     ("transport", "phase"),
 )
 _SWAPS = _metrics.counter(
@@ -157,15 +167,16 @@ _SWAP_SECONDS = _metrics.histogram(
     "generation.",
 )
 
-#: Estimated per-request pickle framing on the reference transport; the
-#: tensor bytes dominate, so the counter is a (tight) lower bound of the
-#: true pickled size — conservative for any shm-vs-pickle ratio claim.
-_PICKLE_OVERHEAD = 64
-
 
 def _descriptor_nbytes(message: object) -> int:
     """Actual pickled size of a (small) queue descriptor."""
     return len(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _release_segment(segment: SharedMemory) -> None:
+    """Unlink a one-off dispatch segment and drop the parent's mapping."""
+    segment.unlink()
+    segment.close()
 
 
 def _latency_quantiles(histogram) -> Dict[str, Optional[float]]:
@@ -218,19 +229,13 @@ class PoolPredictor:
         requests promptly, and respawns it like any other dead worker.
         ``0`` disables hang detection (the pre-deadline behaviour).
 
-    Transport parameters
-    --------------------
-    transport:
-        ``"shm"`` (default) moves request rows and result probabilities
-        through per-worker shared-memory arenas; the queues carry only small
-        fixed-size descriptors.  ``"pickle"`` is the reference path with the
-        tensors pickled through the queues; both produce bitwise-identical
-        predictions.
+    Data-plane parameters
+    ---------------------
     arena_slots:
-        Arena capacity in units of ``max_batch``-row dispatches.  A single
-        request larger than ``max_batch`` rows occupies several slots' worth
-        of contiguous bytes; anything that exceeds the whole arena falls back
-        to the pickle path for that dispatch.
+        Per-worker arena capacity in units of ``max_batch``-row dispatches.
+        A single request larger than ``max_batch`` rows occupies several
+        slots' worth of contiguous bytes; a dispatch that does not fit the
+        free part of the arena gets a one-off segment of its own instead.
     """
 
     def __init__(
@@ -250,7 +255,6 @@ class PoolPredictor:
         supervise_interval: float = 0.25,
         worker_wait: float = 60.0,
         dispatch_timeout: float = 120.0,
-        transport: str = "shm",
         arena_slots: int = 4,
     ):
         from repro.api.artifacts import read_manifest
@@ -268,11 +272,6 @@ class PoolPredictor:
             raise ValueError("supervise_interval must be positive")
         if dispatch_timeout < 0:
             raise ValueError("dispatch_timeout must be non-negative (0 disables)")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; valid choices: "
-                + ", ".join(repr(t) for t in TRANSPORTS)
-            )
         if arena_slots < 1:
             raise ValueError("arena_slots must be positive")
 
@@ -291,7 +290,6 @@ class PoolPredictor:
         self.max_batch = int(max_batch)
         self.max_wait_ms = float(max_wait_ms)
         self.request_timeout = float(request_timeout)
-        self.transport = transport
         self.arena_slots = int(arena_slots)
         self.restart_workers = bool(restart_workers)
         self.restart_backoff = float(restart_backoff)
@@ -325,6 +323,10 @@ class PoolPredictor:
         # request_id -> dispatch time feeds the hung-worker deadline.
         self._inflight: Dict[int, int] = {}
         self._inflight_since: Dict[int, float] = {}
+        # One-off segment name -> (worker_id, segment) for dispatches that
+        # did not fit their worker's arena; released by the collector once
+        # answered, or by the death path / close() otherwise (under _lock).
+        self._oneoffs: Dict[str, Tuple[int, SharedMemory]] = {}
         # Worker lifecycle state.  _ready holds the ids whose predictor is
         # loaded (guarded by _lock, written by the collector/supervisor);
         # _down maps a dead worker to the monotonic time its respawn is due
@@ -348,8 +350,7 @@ class PoolPredictor:
         for worker_id in range(self.workers):
             self._request_queues.append(self._ctx.Queue())
             self._result_queues.append(self._ctx.Queue())
-            if self.transport == "shm":
-                self._arenas[worker_id] = self._new_arena(worker_id)
+            self._arenas[worker_id] = self._new_arena(worker_id)
             self._processes.append(self._spawn_worker(worker_id))
         _WORKERS_CONFIGURED.set(self.workers)
 
@@ -360,7 +361,9 @@ class PoolPredictor:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise RuntimeError("serving workers failed to start in time")
-                for kind, worker_id, info in self._poll_results(timeout=remaining):
+                for kind, worker_id, info in _poll_results(
+                    self._result_queues, remaining
+                ):
                     if kind == "ready":
                         self._ready.add(worker_id)
                     elif kind == "fatal":
@@ -423,7 +426,6 @@ class PoolPredictor:
         """Start the worker process for ``worker_id`` on that worker's
         *current* private queues and arena (respawns install fresh ones
         first — see :meth:`_respawn_worker`)."""
-        arena = self._arenas[worker_id]
         process = self._ctx.Process(
             target=_serving_worker_main,
             args=(
@@ -432,7 +434,7 @@ class PoolPredictor:
                 self.method,
                 self.batch_size,
                 self.warm,
-                arena.meta if arena is not None else None,
+                self._arenas[worker_id].meta,
                 self._request_queues[worker_id],
                 self._result_queues[worker_id],
             ),
@@ -441,32 +443,6 @@ class PoolPredictor:
         )
         process.start()
         return process
-
-    def _poll_results(self, timeout: float) -> List[tuple]:
-        """Drain whatever messages the per-worker result queues hold.
-
-        Multiplexes over every queue's reader pipe with
-        ``multiprocessing.connection.wait``; returns (possibly empty) list of
-        ``(kind, worker_id, payload)`` messages.  Queues swapped out by a
-        concurrent respawn surface as closed readers and are skipped — the
-        next call picks up their replacements.
-        """
-        snapshot = {queue._reader: queue for queue in list(self._result_queues)}
-        try:
-            readable = _mp_wait(list(snapshot), timeout=timeout)
-        except OSError:  # pragma: no cover - reader closed mid-wait (respawn)
-            return []
-        messages: List[tuple] = []
-        for reader in readable:
-            queue = snapshot[reader]
-            while True:
-                try:
-                    messages.append(queue.get_nowait())
-                except thread_queue.Empty:
-                    break
-                except (OSError, ValueError, EOFError):  # pragma: no cover
-                    break  # queue closed/poisoned; successor takes over
-        return messages
 
     # ------------------------------------------------------- internal loops
     def _dispatch_loop(self) -> None:
@@ -518,13 +494,16 @@ class PoolPredictor:
         worker answers it on the old generation) or re-targets another
         worker.  Without the recheck, a dispatch could slip onto a worker's
         queue after the swap observed it idle and sent the stop sentinel,
-        stranding the requests until the client timeout.
+        stranding the requests until the client timeout.  A one-off segment
+        is registered in the same critical section, so the death path
+        (which evicts under the lock too) either finds and unlinks it or the
+        claim fails and the dispatcher unlinks it itself.
         """
         while True:
             worker_id = self._pick_worker(rr, group)
             if worker_id is None:
                 return False
-            item = self._build_dispatch(worker_id, group)
+            item, segment = self._build_dispatch(worker_id, group)
             dispatched = time.monotonic()
             with self._lock:
                 claimed = worker_id in self._ready
@@ -532,18 +511,23 @@ class PoolPredictor:
                     for request in group:
                         self._inflight[request.request_id] = worker_id
                         self._inflight_since[request.request_id] = dispatched
+                    if segment is not None:
+                        self._oneoffs[segment.name] = (worker_id, segment)
             if not claimed:
-                self._abort_dispatch(worker_id, item)
+                self._abort_dispatch(worker_id, item, segment)
                 continue
             self._request_queues[worker_id].put(item)
             return True
 
-    def _abort_dispatch(self, worker_id: int, item: tuple) -> None:
-        """Release arena regions reserved for a dispatch that never shipped
-        (its worker left the ready set between pick and claim)."""
-        if item[0] != "shm":
+    def _abort_dispatch(
+        self, worker_id: int, item: tuple, segment: Optional[SharedMemory]
+    ) -> None:
+        """Release the shared memory reserved for a dispatch that never
+        shipped (its worker left the ready set between pick and claim)."""
+        if segment is not None:
+            _release_segment(segment)
             return
-        generation, request_region, entries = item[1]
+        _, generation, request_region, entries = item
         arena = self._arenas[worker_id]
         if arena is None or arena.generation != generation:
             return  # the arena was already retired wholesale
@@ -551,51 +535,69 @@ class PoolPredictor:
             arena.free_result(entry[5])
         arena.free_request(request_region)
 
-    # ------------------------------------------------------------ transports
-    def _build_dispatch(self, worker_id: int, group: List[_Request]) -> tuple:
-        """Encode a micro-batch for ``worker_id``'s queue.
-
-        On the shm transport the rows are written into the worker's arena and
-        the queue item is a fixed-size descriptor; when the arena cannot hold
-        the dispatch (ring momentarily full, or a request bigger than the
-        whole arena) the dispatch degrades to the pickle encoding — the
-        worker accepts either, so no request is ever refused for size.
-        """
-        if self.transport == "shm":
-            item = self._build_shm_dispatch(worker_id, group)
-            if item is not None:
-                return item
-        with _TRANSPORT_PHASE.labels("pickle", "request_serialize").time():
-            payload = [
-                (request.request_id, request.x, request.method) for request in group
-            ]
-        if _metrics.enabled:
-            _TRANSPORT_BYTES.labels("pickle", "request").inc(
-                sum(request.x.nbytes for request in group)
-                + _PICKLE_OVERHEAD * len(group)
-            )
-        return ("pickle", payload)
-
-    def _build_shm_dispatch(
+    # ------------------------------------------------------------ data plane
+    def _build_dispatch(
         self, worker_id: int, group: List[_Request]
-    ) -> Optional[tuple]:
-        """Reserve arena regions and copy the rows in; ``None`` on any
-        capacity miss (the caller falls back to pickle)."""
+    ) -> Tuple[tuple, Optional[SharedMemory]]:
+        """Copy a micro-batch's rows into shared memory and encode its queue
+        descriptor; returns ``(descriptor, one-off segment or None)``.
+
+        The rows go into ``worker_id``'s arena.  When the arena cannot hold
+        the dispatch (ring momentarily full, result regions pinned by
+        client-held views, or a request bigger than the whole arena) they go
+        into a one-off segment created for this dispatch, laid out like an
+        arena — requests first, then one result region per request — so no
+        request is ever refused or split for size.
+        """
+        capacities = [
+            _align(request.rows * self.num_classes * RESULT_ITEMSIZE)
+            for request in group
+        ]
+        request_bytes = sum(_align(request.x.nbytes) for request in group)
         arena = self._arenas[worker_id]
-        if arena is None:  # pragma: no cover - shm transport always has one
-            return None
-        request_region = arena.alloc_request(
-            sum(_align(request.x.nbytes) for request in group)
-        )
+        reserved = self._reserve_in_arena(arena, request_bytes, capacities)
+        if reserved is not None:
+            segment = None
+            buf, generation = arena.buf, arena.generation
+            request_region, result_offsets = reserved
+        else:
+            segment = create_segment(
+                request_bytes + sum(capacities), tag=f"oneoff-w{worker_id}"
+            )
+            buf, generation, request_region = segment.buf, None, 0
+            result_offsets = list(
+                itertools.accumulate(capacities[:-1], initial=request_bytes)
+            )
+        entries: List[tuple] = []
+        cursor = request_region
+        with _TRANSPORT_PHASE.labels("shm", "request_copy").time():
+            for request, result_offset, capacity in zip(
+                group, result_offsets, capacities
+            ):
+                x = request.x
+                write_array(buf, cursor, x)
+                entries.append((request.request_id, cursor, tuple(x.shape),
+                                str(x.dtype), request.method, result_offset, capacity))
+                cursor += _align(x.nbytes)
+        name = None if segment is None else segment.name
+        item = (name, generation, request_region, entries)
+        if _metrics.enabled:
+            _TRANSPORT_BYTES.labels("shm", "request").inc(_descriptor_nbytes(item))
+        return item, segment
+
+    @staticmethod
+    def _reserve_in_arena(
+        arena: ShmArena, request_bytes: int, capacities: List[int]
+    ) -> Optional[Tuple[int, List[int]]]:
+        """Reserve a dispatch's request region and one result region per
+        request; ``None`` (holding nothing) on any capacity miss."""
+        request_region = arena.alloc_request(request_bytes)
         if request_region is None:
             _TRANSPORT_FALLBACKS.labels("request_ring_full").inc()
             return None
-        entries: List[tuple] = []
         result_offsets: List[int] = []
-        cursor = request_region
-        for request in group:
-            result_capacity = _align(request.rows * self.num_classes * RESULT_ITEMSIZE)
-            result_offset = arena.alloc_result(result_capacity)
+        for capacity in capacities:
+            result_offset = arena.alloc_result(capacity)
             if result_offset is None:
                 for offset in result_offsets:
                     arena.free_result(offset)
@@ -603,25 +605,7 @@ class PoolPredictor:
                 _TRANSPORT_FALLBACKS.labels("result_ring_full").inc()
                 return None
             result_offsets.append(result_offset)
-            entries.append(
-                (
-                    request.request_id,
-                    cursor,
-                    tuple(request.x.shape),
-                    str(request.x.dtype),
-                    request.method,
-                    result_offset,
-                    result_capacity,
-                )
-            )
-            cursor += _align(request.x.nbytes)
-        with _TRANSPORT_PHASE.labels("shm", "request_copy").time():
-            for request, entry in zip(group, entries):
-                arena.write_request(entry[1], request.x)
-        item = ("shm", (arena.generation, request_region, entries))
-        if _metrics.enabled:
-            _TRANSPORT_BYTES.labels("shm", "request").inc(_descriptor_nbytes(item))
-        return item
+        return request_region, result_offsets
 
     def _is_serving(self, worker_id: int) -> bool:
         with self._lock:
@@ -648,26 +632,9 @@ class PoolPredictor:
 
     def _collect_loop(self) -> None:
         while not self._stop_collector.is_set():
-            for kind, worker_id, payload in self._poll_results(timeout=0.2):
+            for kind, worker_id, payload in _poll_results(self._result_queues, 0.2):
                 if kind == "result":
-                    if payload[0] == "shm":
-                        self._collect_shm_result(worker_id, payload)
-                    else:
-                        replies = payload[1]
-                        if _metrics.enabled:
-                            _TRANSPORT_BYTES.labels("pickle", "response").inc(
-                                sum(
-                                    proba.nbytes
-                                    for _, proba, _ in replies
-                                    if proba is not None
-                                )
-                                + _PICKLE_OVERHEAD * len(replies)
-                            )
-                        for request_id, proba, error in replies:
-                            if error is not None:
-                                self._resolve(request_id, exception=RuntimeError(error))
-                            else:
-                                self._resolve(request_id, result=proba)
+                    self._collect_result(worker_id, payload)
                 elif kind == "ready":
                     # A respawned worker finished loading its predictor.
                     with self._lock:
@@ -687,8 +654,40 @@ class PoolPredictor:
                         "serve.worker_load_failed", worker=worker_id, error=str(payload)
                     )
 
-    def _collect_shm_result(self, worker_id: int, payload: tuple) -> None:
-        """Resolve one shm-transport reply: hand out zero-copy result views,
+    def _collect_result(self, worker_id: int, payload: tuple) -> None:
+        segment_name, generation, request_region, replies = payload
+        if _metrics.enabled:
+            _TRANSPORT_BYTES.labels("shm", "response").inc(
+                _descriptor_nbytes(payload)
+            )
+        if segment_name is None:
+            self._collect_arena_result(worker_id, generation, request_region, replies)
+            return
+        # A one-off dispatch: copy the results out, then unlink the segment.
+        # One the death path already released belongs to futures it failed.
+        with self._lock:
+            owned = self._oneoffs.pop(segment_name, None)
+        if owned is None:
+            return
+        segment = owned[1]
+        with _TRANSPORT_PHASE.labels("shm", "response_copy").time():
+            results = [
+                array_at(segment.buf, offset, shape, dtype).copy()
+                if error is None
+                else None
+                for _, offset, shape, dtype, error in replies
+            ]
+        _release_segment(segment)
+        for (request_id, _, _, _, error), result in zip(replies, results):
+            if error is not None:
+                self._resolve(request_id, exception=RuntimeError(error))
+            else:
+                self._resolve(request_id, result=result)
+
+    def _collect_arena_result(
+        self, worker_id: int, generation: int, request_region: int, replies: list
+    ) -> None:
+        """Resolve one arena dispatch: hand out zero-copy result views,
         release the dispatch's request region.
 
         Replies from a *retired* arena generation (a worker that answered
@@ -696,24 +695,15 @@ class PoolPredictor:
         resolved for any still-waiting future but never touch the successor
         arena's book-keeping — stale offsets must not free live regions.
         """
-        _, generation, request_region, replies = payload
         arena = self._arenas[worker_id]
         live = arena is not None and arena.generation == generation
         if live:
             arena.free_request(request_region)
-        if _metrics.enabled:
-            _TRANSPORT_BYTES.labels("shm", "response").inc(
-                _descriptor_nbytes(payload)
-            )
-        for request_id, result_offset, shape, dtype, inline, error in replies:
+        for request_id, result_offset, shape, dtype, error in replies:
             if error is not None:
                 if live:
                     arena.free_result(result_offset)
                 self._resolve(request_id, exception=RuntimeError(error))
-            elif inline is not None:  # reservation overflow: came via queue
-                if live:
-                    arena.free_result(result_offset)
-                self._resolve(request_id, result=inline)
             elif live:
                 try:
                     with _TRANSPORT_PHASE.labels("shm", "response_view").time():
@@ -810,7 +800,8 @@ class PoolPredictor:
             process.join(timeout=10)
 
     def _on_worker_death(self, worker_id: int, process: mp.Process) -> None:
-        """Evict a dead worker: fail its in-flight requests, schedule respawn."""
+        """Evict a dead worker: fail its in-flight requests, unlink its
+        one-off segments, schedule respawn."""
         with self._lock:
             self._ready.discard(worker_id)
             attempts = self._attempts[worker_id]
@@ -820,6 +811,13 @@ class PoolPredictor:
                 for request_id, owner in self._inflight.items()
                 if owner == worker_id
             ]
+            stranded = [
+                self._oneoffs.pop(name)[1]
+                for name, (owner, _) in list(self._oneoffs.items())
+                if owner == worker_id
+            ]
+        for segment in stranded:
+            _release_segment(segment)
         backoff = min(self.restart_backoff * (2 ** attempts), self.restart_backoff_max)
         restart = self.restart_workers and not self._closed
         self._down[worker_id] = (time.monotonic() + backoff) if restart else None
@@ -861,12 +859,11 @@ class PoolPredictor:
         old_queues = (self._request_queues[worker_id], self._result_queues[worker_id])
         self._request_queues[worker_id] = self._ctx.Queue()
         self._result_queues[worker_id] = self._ctx.Queue()
-        if self.transport == "shm":
-            old_arena = self._arenas[worker_id]
-            self._arena_generation[worker_id] += 1
-            self._arenas[worker_id] = self._new_arena(worker_id)
-            if old_arena is not None:
-                old_arena.retire()
+        old_arena = self._arenas[worker_id]
+        self._arena_generation[worker_id] += 1
+        self._arenas[worker_id] = self._new_arena(worker_id)
+        if old_arena is not None:
+            old_arena.retire()
         for old_queue in old_queues:
             try:
                 old_queue.close()
@@ -1187,12 +1184,10 @@ class PoolPredictor:
             "max_batch": self.max_batch,
             "max_wait_ms": self.max_wait_ms,
             "super_learner": self._has_super_learner,
-            "transport": self.transport,
-            "arena_slots": self.arena_slots if self.transport == "shm" else None,
+            "transport": "shm",
+            "arena_slots": self.arena_slots,
             "arena_bytes_per_worker": (
-                self._arenas[0].total_bytes
-                if self.transport == "shm" and self._arenas[0] is not None
-                else None
+                self._arenas[0].total_bytes if self._arenas[0] is not None else None
             ),
             "arenas": arenas,
             "request_latency_seconds": _latency_quantiles(_REQUEST_LATENCY),
@@ -1238,9 +1233,13 @@ class PoolPredictor:
             self._futures.clear()
             self._inflight.clear()
             self._inflight_since.clear()
+            segments = [segment for _, segment in self._oneoffs.values()]
+            self._oneoffs.clear()
         for future in leftovers:
             if not future.done():
                 future.set_exception(RuntimeError("PoolPredictor closed"))
+        for segment in segments:
+            _release_segment(segment)
         self._retire_arenas()
         try:
             atexit.unregister(self.close)

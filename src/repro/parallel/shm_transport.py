@@ -1,12 +1,7 @@
-"""Zero-copy request/response arenas for the serving pool (``transport="shm"``).
+"""Zero-copy request/response arenas: the serving pool's data plane.
 
-The pickle transport ships every request batch and every probability matrix
-*through* the worker queues: the dispatcher pickles the rows, the pipe copies
-them kernel-side, the worker unpickles them — and the reply makes the same
-trip in reverse.  For large batches that is the dominant serving cost.
-
-:class:`ShmArena` removes the tensor bytes from the queues entirely.  Each
-serving worker owns one POSIX shared-memory segment (created through the
+Tensors never travel through the worker queues.  :class:`ShmArena` gives
+each serving worker one POSIX shared-memory segment (created through the
 :mod:`repro.parallel.shared_data` publish/attach machinery) laid out as two
 regions::
 
@@ -18,7 +13,10 @@ worker maps the same segment, runs ``predict_proba`` directly on zero-copy
 views of those rows, and writes the probabilities into a result region the
 dispatcher reserved for it.  The queues carry only fixed-size descriptors
 (request ids, offsets, shapes, dtypes) — a few hundred bytes regardless of
-batch size.
+batch size.  A dispatch the arena cannot hold (ring momentarily full, result
+views pinned by clients, or a request bigger than the whole arena) gets a
+one-off segment of its own with the same layout and descriptors instead
+(see :class:`~repro.parallel.serving.PoolPredictor`).
 
 Single-producer / single-consumer, lock-free across processes
 -------------------------------------------------------------
@@ -73,6 +71,18 @@ def _align(nbytes: int) -> int:
     return (int(nbytes) + ALIGNMENT - 1) & ~(ALIGNMENT - 1)
 
 
+def array_at(buf, offset: int, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """Zero-copy ``np.ndarray`` over the bytes of ``buf`` at ``offset``."""
+    return np.ndarray(tuple(shape), dtype=np.dtype(dtype), buffer=buf, offset=offset)
+
+
+def write_array(buf, offset: int, array: np.ndarray) -> None:
+    """Copy ``array`` into the bytes of ``buf`` at ``offset`` — the single
+    copy the data plane makes of request rows (dispatcher) and of
+    probabilities (worker)."""
+    np.copyto(array_at(buf, offset, array.shape, array.dtype), array, casting="no")
+
+
 @dataclass(frozen=True)
 class ArenaMeta:
     """Everything a worker needs to attach its arena (tiny and picklable)."""
@@ -101,7 +111,7 @@ class _RegionAllocator:
 
     def alloc(self, nbytes: int) -> Optional[int]:
         """Reserve an aligned region; ``None`` when nothing fits (the caller
-        falls back to the pickle transport for that dispatch)."""
+        moves that dispatch to a one-off segment)."""
         need = _align(max(1, nbytes))
         with self._lock:
             for index, (offset, size) in enumerate(self._free):
@@ -207,6 +217,11 @@ class ShmArena:
         )
 
     @property
+    def buf(self) -> memoryview:
+        """The arena's bytes (the dispatcher writes request rows here)."""
+        return self._segment.buf
+
+    @property
     def total_bytes(self) -> int:
         return self.request_bytes + self.result_bytes
 
@@ -239,15 +254,6 @@ class ShmArena:
     def free_result(self, offset: int) -> bool:
         return self._results.free(offset)
 
-    def write_request(self, offset: int, array: np.ndarray) -> None:
-        """Copy one request's rows into the arena — the single copy the shm
-        transport performs on the inbound path."""
-        view = np.ndarray(
-            array.shape, dtype=array.dtype, buffer=self._segment.buf, offset=offset
-        )
-        np.copyto(view, array, casting="no")
-        del view
-
     # -------------------------------------------------------------- collector
     def take_result_view(
         self, offset: int, shape: Tuple[int, ...], dtype: str
@@ -259,9 +265,7 @@ class ShmArena:
         hold the probabilities as long as it likes without the ring
         recycling the bytes underneath it.
         """
-        view = np.ndarray(
-            tuple(shape), dtype=np.dtype(dtype), buffer=self._segment.buf, offset=offset
-        )
+        view = array_at(self._segment.buf, offset, shape, dtype)
         with self._lock:
             self._exported_views += 1
         weakref.finalize(view, self._release_result_region, offset)

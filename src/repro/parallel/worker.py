@@ -6,8 +6,9 @@ the picklable :class:`MemberTask` / :class:`MemberOutcome` records plus the
 shared-memory dataset attached at worker start-up.  The serving-pool worker
 loop (:func:`_serving_worker_main`) lives here too: it answers request
 descriptors from :class:`~repro.parallel.serving.PoolPredictor`, reading
-request rows from — and writing probabilities into — its per-worker
-shared-memory arena when the pool runs the ``shm`` transport.
+request rows from — and writing probabilities into — shared memory: its
+per-worker arena, or a one-off segment the pool created for a dispatch too
+big for the arena.
 
 A worker trains exactly the way the serial path does — same
 :class:`~repro.nn.training.Trainer`, same seed derivations, same bootstrap
@@ -26,6 +27,8 @@ Resilience contract with the executor:
   its private result queue — queue locks are never shared across workers,
   so a SIGKILL mid-operation poisons only this worker's queues, which the
   executor replaces at respawn;
+* a worker whose parent dies exits instead of blocking on its queue
+  forever (see :func:`_next_request`), for training and serving alike;
 * a daemon heartbeat thread emits ``("heartbeat", worker_id, None)`` every
   ``heartbeat_interval`` seconds so the executor can tell a *stopped*
   process (SIGSTOP, scheduler starvation) from a merely slow one; a worker
@@ -42,12 +45,17 @@ Resilience contract with the executor:
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import queue as thread_queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from multiprocessing.connection import wait as _mp_wait
+from typing import Dict, List, Optional
 
+from repro.faults import fire
 from repro.parallel.shared_data import AttachedDataset, SharedArrayMeta
+from repro.parallel.shm_transport import array_at, write_array
 from repro.utils.parallel import apply_blas_thread_cap
 
 # Populated once per worker by _init_worker; read by every _train_member call.
@@ -111,7 +119,6 @@ def _train_member(task: MemberTask, attempt: int = 0) -> MemberOutcome:
     # until a task actually arrives.
     from repro.arch.serialization import spec_from_json
     from repro.data.sampling import bootstrap_sample
-    from repro.faults import fire
     from repro.nn.model import Model
     from repro.nn.serialization import pack_model_state
     from repro.nn.training import Trainer
@@ -169,6 +176,74 @@ def _train_member(task: MemberTask, attempt: int = 0) -> MemberOutcome:
     )
 
 
+def _next_request(request_queue, result_queue):
+    """Block for the next item on this worker's request queue; ``None`` both
+    for the shutdown sentinel and once the parent process has died.
+
+    The worker's copy of the queue holds the pipe's write end too, so a
+    SIGKILLed parent never shows up as EOF on ``get()``: a worker blocked
+    there would outlive it, and with it the parent's resource tracker, which
+    only unlinks the dead parent's shared-memory names once every process
+    holding its pipe has exited.  Waiting on the parent's sentinel next to
+    the queue's reader lets an orphaned worker exit instead.
+    """
+    parent = mp.parent_process()
+    if parent is not None and parent.sentinel in _mp_wait(
+        [request_queue._reader, parent.sentinel]
+    ):
+        result_queue.cancel_join_thread()  # nobody will read the replies
+        return None
+    return request_queue.get()
+
+
+def _poll_results(result_queues, timeout: float) -> List[tuple]:
+    """Drain whatever messages the per-worker result queues hold.
+
+    Parent side of both pools.  Multiplexes over every queue's reader pipe
+    with ``multiprocessing.connection.wait``; returns a (possibly empty)
+    list of ``(kind, worker_id, payload)`` messages.  ``None`` entries
+    (workers not started yet) are skipped, and queues swapped out by a
+    concurrent respawn surface as closed readers and are skipped too — the
+    next call picks up their replacements.
+    """
+    snapshot = {q._reader: q for q in list(result_queues) if q is not None}
+    try:
+        readable = _mp_wait(list(snapshot), timeout=timeout)
+    except OSError:  # pragma: no cover - reader closed mid-wait (respawn)
+        return []
+    messages: List[tuple] = []
+    for reader in readable:
+        queue = snapshot[reader]
+        while True:
+            try:
+                messages.append(queue.get_nowait())
+            except thread_queue.Empty:
+                break
+            except (OSError, ValueError, EOFError):  # pragma: no cover
+                break  # queue closed/poisoned; successor takes over
+    return messages
+
+
+def _answer(predictor, buf, entry: tuple, worker_id: int) -> tuple:
+    """Run one request on its rows in ``buf`` and write the probabilities
+    into its reserved result region; returns the reply descriptor."""
+    request_id, offset, shape, dtype, method, result_offset, result_capacity = entry
+    try:
+        proba = predictor.predict_proba(
+            array_at(buf, offset, shape, dtype), method=method
+        )
+        # Chaos-test injection point ("serve_shm_write"): die or wedge
+        # mid-slot-write — the dispatcher must survive a result region that
+        # never gets its descriptor.
+        fire("serve_shm_write", worker=worker_id)
+        if proba.nbytes > result_capacity:  # an itemsize above RESULT_ITEMSIZE
+            raise ValueError(f"{proba.nbytes}-byte result overflows its reservation")
+        write_array(buf, result_offset, proba)
+        return (request_id, result_offset, tuple(proba.shape), str(proba.dtype), None)
+    except Exception as exc:
+        return (request_id, result_offset, None, None, f"{type(exc).__name__}: {exc}")
+
+
 def _serving_worker_main(
     worker_id: int,
     artifact: str,
@@ -181,27 +256,17 @@ def _serving_worker_main(
 ) -> None:
     """Serving-pool worker: load the artifact once, answer request groups.
 
-    Two request encodings arrive on the queue (besides the ``None``
-    shutdown sentinel), tagged by their first element:
-
-    * ``("pickle", [(request_id, rows, method), ...])`` — the reference
-      transport: tensors travel through the queue itself.
-    * ``("shm", (generation, request_region, entries))`` — the zero-copy
-      transport: each entry is ``(request_id, offset, shape, dtype, method,
-      result_offset, result_capacity)`` and the rows live in this worker's
-      shared-memory arena (``arena_meta``).  The worker predicts directly on
-      a view of the arena bytes and writes the probabilities into the
-      reserved result region; only the descriptor goes back on the queue.
-
-    Replies mirror the encodings: ``("result", worker_id, ("pickle",
-    replies))`` or ``("result", worker_id, ("shm", generation,
-    request_region, replies))`` where each shm reply is ``(request_id,
-    result_offset, shape, dtype, inline_result, error)`` — ``inline_result``
-    carries the probabilities through the queue in the rare case the
-    reservation cannot hold them (never for float32/float64 outputs).
+    Each queue item (besides the ``None`` shutdown sentinel) is a dispatch
+    descriptor ``(segment, generation, request_region, entries)`` with one
+    ``(request_id, offset, shape, dtype, method, result_offset,
+    result_capacity)`` entry per request.  The rows live in this worker's
+    arena (``arena_meta``) when ``segment`` is ``None``, otherwise in the
+    one-off segment of that name, attached for this dispatch only.  The
+    probabilities go into the reserved result regions; the reply is
+    ``("result", worker_id, (segment, generation, request_region,
+    replies))`` with one ``(request_id, result_offset, shape, dtype,
+    error)`` per request.
     """
-    import numpy as np
-
     arena = None
     try:
         from repro.api.predictor import EnsemblePredictor
@@ -210,78 +275,31 @@ def _serving_worker_main(
         predictor = EnsemblePredictor.load(
             artifact, method=method, batch_size=batch_size, warm=warm
         )
-        if arena_meta is not None:
-            arena = attach_segment(arena_meta.name)
+        arena = attach_segment(arena_meta.name)
         result_queue.put(("ready", worker_id, None))
     except BaseException as exc:  # pragma: no cover - startup failure path
         result_queue.put(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
         return
-    from repro.faults import fire
-
     try:
         while True:
-            item = request_queue.get()
+            item = _next_request(request_queue, result_queue)
             if item is None:
                 break
             # Chaos-test injection point ("serve"): crash or wedge this worker
             # with a request group in flight — free when REPRO_FAULTS is unset.
             fire("serve", worker=worker_id)
-            kind, payload = item
-            if kind == "pickle":
-                replies = []
-                for request_id, x, method_override in payload:
-                    try:
-                        proba = predictor.predict_proba(x, method=method_override)
-                        replies.append((request_id, proba, None))
-                    except Exception as exc:
-                        replies.append(
-                            (request_id, None, f"{type(exc).__name__}: {exc}")
-                        )
-                result_queue.put(("result", worker_id, ("pickle", replies)))
-                continue
-            generation, request_region, entries = payload
-            replies = []
-            for request_id, offset, shape, dtype, method_override, res_off, res_cap in entries:
+            segment_name, generation, request_region, entries = item
+            segment = arena if segment_name is None else attach_segment(segment_name)
+            replies = [
+                _answer(predictor, segment.buf, entry, worker_id) for entry in entries
+            ]
+            if segment is not arena:
                 try:
-                    rows = np.ndarray(
-                        tuple(shape),
-                        dtype=np.dtype(dtype),
-                        buffer=arena.buf,
-                        offset=offset,
-                    )
-                    proba = predictor.predict_proba(rows, method=method_override)
-                    del rows
-                    # Chaos-test injection point ("serve_shm_write"): die or
-                    # wedge mid-slot-write — the dispatcher must survive a
-                    # result region that never gets its descriptor.
-                    fire("serve_shm_write", worker=worker_id)
-                    if proba.nbytes <= res_cap:
-                        out = np.ndarray(
-                            proba.shape,
-                            dtype=proba.dtype,
-                            buffer=arena.buf,
-                            offset=res_off,
-                        )
-                        np.copyto(out, proba, casting="no")
-                        del out
-                        replies.append(
-                            (
-                                request_id,
-                                res_off,
-                                tuple(proba.shape),
-                                str(proba.dtype),
-                                None,
-                                None,
-                            )
-                        )
-                    else:  # reservation too narrow: fall back through the queue
-                        replies.append((request_id, res_off, None, None, proba, None))
-                except Exception as exc:
-                    replies.append(
-                        (request_id, res_off, None, None, None, f"{type(exc).__name__}: {exc}")
-                    )
+                    segment.close()
+                except BufferError:  # pragma: no cover - a view outlived its
+                    pass  # request (error traceback); the parent owns the name
             result_queue.put(
-                ("result", worker_id, ("shm", generation, request_region, replies))
+                ("result", worker_id, (segment_name, generation, request_region, replies))
             )
     finally:
         if arena is not None:
@@ -326,7 +344,7 @@ def _worker_main(
     beat.start()
     try:
         while True:
-            item = request_queue.get()
+            item = _next_request(request_queue, result_queue)
             if item is None:
                 break
             task_index, attempt, task = item

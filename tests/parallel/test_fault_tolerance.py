@@ -353,7 +353,6 @@ def test_shm_worker_crash_mid_slot_write_recovers(
     with PoolPredictor(
         saved_artifact,
         workers=1,
-        transport="shm",
         restart_backoff=0.5,
         supervise_interval=0.05,
         request_timeout=120.0,
@@ -395,7 +394,6 @@ def test_shm_worker_hang_mid_slot_write_is_evicted(
     with PoolPredictor(
         saved_artifact,
         workers=1,
-        transport="shm",
         dispatch_timeout=1.0,
         restart_backoff=0.5,
         supervise_interval=0.05,

@@ -224,3 +224,20 @@ def test_serve_shuts_down_cleanly_on_sigterm(saved_artifact):
     out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0
     assert json.loads(out.strip().splitlines()[-1]) == {"event": "stopped"}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["serve", "--artifact", "a"], ["fleet-worker", "--broker", "h:1", "--artifact", "a"]],
+)
+def test_transport_flag_accepts_only_shm(command, capsys):
+    """Shared memory is the only data plane: ``--transport shm`` is still
+    accepted (existing scripts pass it), anything else is an argparse error."""
+    from repro.__main__ import _build_parser
+
+    parser = _build_parser()
+    assert parser.parse_args(command + ["--transport", "shm"]).transport == "shm"
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(command + ["--transport=pickle"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -2,10 +2,13 @@
 backoff, health degradation and recovery, and no process / shared-memory
 leaks across a crash-and-recover cycle."""
 
+import json
 import multiprocessing as mp
 import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,19 @@ def _wait_for(predicate, timeout, interval=0.05):
             return True
         time.sleep(interval)
     return predicate()
+
+
+def _running(pid: int) -> bool:
+    """``pid`` exists and is not a zombie (an orphan's reaper may be slow)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _shm_entries() -> set:
+    return {f for f in os.listdir("/dev/shm") if f.startswith("repro-shm")}
 
 
 def _assert_no_residue(processes):
@@ -181,3 +197,42 @@ def test_pool_validation_of_supervisor_parameters(saved_artifact):
         PoolPredictor(saved_artifact, restart_backoff=2.0, restart_backoff_max=1.0)
     with pytest.raises(ValueError):
         PoolPredictor(saved_artifact, supervise_interval=0.0)
+
+
+_POOL_OWNER = """
+import json, sys, time
+from repro.parallel import PoolPredictor
+
+if __name__ == "__main__":
+    pool = PoolPredictor(sys.argv[1], workers=2)
+    print(json.dumps(pool.info()["worker_pids"]), flush=True)
+    time.sleep(600)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc, /dev/shm")
+def test_workers_exit_when_the_pool_owner_is_sigkilled(saved_artifact):
+    """A SIGKILLed pool owner takes its workers with it.  A worker blocked on
+    its request queue never sees EOF (it holds the pipe's write end too), so
+    it waits on the parent's sentinel as well; once the workers are gone the
+    owner's resource tracker exits and unlinks the orphaned arenas."""
+    before = _shm_entries()
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[2] / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    owner = subprocess.Popen(
+        [sys.executable, "-c", _POOL_OWNER, str(saved_artifact)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=env,
+    )
+    try:
+        pids = json.loads(owner.stdout.readline())
+    finally:
+        owner.kill()
+        owner.wait()
+        owner.stdout.close()
+    assert len(pids) == 2
+    assert _wait_for(lambda: not any(_running(pid) for pid in pids), 10), pids
+    assert _wait_for(lambda: not _shm_entries() - before, 10), _shm_entries() - before
